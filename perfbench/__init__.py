@@ -1,0 +1,1 @@
+"""Repository benchmark; run ``python3 perfbench/run.py --help``."""
